@@ -101,6 +101,7 @@ ci:
 		benchmarks/bench_ext_fault_injection.py -q --benchmark-disable
 	$(MAKE) chaos-smoke
 	$(MAKE) runtime-smoke
+	$(PYTHON) scripts/runtime_smoke.py --transport tcp
 	$(MAKE) shard-smoke
 	$(MAKE) soak-smoke
 	$(MAKE) overload-smoke

@@ -1,10 +1,11 @@
-"""Runtime smoke: 64-node loopback cluster, lookups, sim parity.
+"""Runtime smoke: 64-node live cluster, lookups, sim parity.
 
 The acceptance scenario for the live asyncio runtime
 (``src/repro/runtime/``), run by ``make runtime-smoke`` and CI --
 once per payload encoding (JSON and packed):
 
-* boot a 64-node cluster over the loopback transport, every member
+* boot a 64-node cluster over the loopback transport (or real
+  localhost sockets with ``--transport tcp``), every member
   after the seed joining topology-aware *over the wire* (JOIN frames
   through the binary codec);
 * drive 1000 open-loop lookups through hop-by-hop ROUTE frames and
@@ -25,6 +26,7 @@ Usage::
     python scripts/runtime_smoke.py                # 64 nodes, 1000 lookups
     python scripts/runtime_smoke.py --nodes 32 --lookups 200
     python scripts/runtime_smoke.py --encoding packed   # one encoding only
+    python scripts/runtime_smoke.py --transport tcp     # over real sockets
 """
 
 from __future__ import annotations
@@ -42,13 +44,14 @@ from repro.runtime import Cluster, ClusterConfig, run_load  # noqa: E402
 
 
 async def smoke(
-    nodes: int, lookups: int, rate: float, seed: int, encoding: str
+    nodes: int, lookups: int, rate: float, seed: int, encoding: str,
+    transport: str,
 ) -> int:
     config = ClusterConfig(
         nodes=nodes,
         network=NetworkParams(topo_scale=0.25, seed=seed),
         overlay=OverlayParams(num_nodes=nodes, seed=seed),
-        transport="loopback",
+        transport=transport,
         wire_encoding=encoding,
     )
     async with Cluster(config) as cluster:
@@ -104,6 +107,12 @@ def main(argv=None) -> int:
         help="payload encoding(s) to smoke (default both)",
     )
     parser.add_argument(
+        "--transport",
+        choices=["loopback", "tcp"],
+        default="loopback",
+        help="data-plane transport to smoke (default loopback)",
+    )
+    parser.add_argument(
         "--uvloop",
         action="store_true",
         help="install the uvloop event-loop policy first (hard-fails "
@@ -122,7 +131,10 @@ def main(argv=None) -> int:
     status = 0
     for encoding in encodings:
         status |= asyncio.run(
-            smoke(args.nodes, args.lookups, args.rate, args.seed, encoding)
+            smoke(
+                args.nodes, args.lookups, args.rate, args.seed, encoding,
+                args.transport,
+            )
         )
     return status
 

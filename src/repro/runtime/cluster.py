@@ -489,9 +489,7 @@ class Cluster:
             "breakers_open_now": sum(
                 1 for b in breakers if b.state != b.CLOSED
             ),
-            "backpressure_drops": int(
-                getattr(self.transport, "backpressure_drops", 0)
-            ),
+            "backpressure_drops": self.transport.backpressure_drops,
         }
 
     async def counters(self) -> dict:

@@ -30,9 +30,9 @@ deterministic mutation on every replica.
 * *data plane, cross-shard*: each worker listens on one TCP *peering
   socket*; a frame for a remote member rides the existing wire v3
   encoding prefixed with a 4-byte destination node id
-  (:class:`PeeringTransport`).  Batching mirrors the TCP transport:
-  frames coalesce per destination shard and one flusher writes each
-  batch;
+  (:class:`PeeringTransport`), on the same socket plane as the TCP
+  transport: frames coalesce per destination shard and one flush per
+  loop turn writes each shard's batch;
 * *control plane*: one :mod:`multiprocessing` pipe per worker carries
   boot orchestration, RPCs (lookup/route/map reads for the parity
   check), load-generation commands, crash/leave injection and
@@ -54,14 +54,18 @@ import time
 
 from repro.core.builder import TopologyAwareOverlay
 from repro.core.config import make_network
-from repro.runtime import wire
 from repro.runtime.cluster import (
     Cluster,
     ClusterConfig,
     verify_cluster_against_sim,
 )
 from repro.runtime.loadgen import LoadReport, run_load
-from repro.runtime.transport import Transport, TransportError, make_transport
+from repro.runtime.transport import (
+    SocketTransport,
+    Transport,
+    TransportError,
+    make_transport,
+)
 from repro.runtime.wire import Frame, encode_frame
 from repro.softstate.maps import Region
 
@@ -127,48 +131,16 @@ def shard_assignment(network, hosts: dict, nshards: int) -> dict:
 _ENVELOPE = struct.Struct("!I")
 
 
-class _EnvelopeDecoder:
-    """Incremental (dst, frame) reassembly on a peering byte stream."""
-
-    def __init__(self):
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> list:
-        buffer = self._buffer
-        buffer.extend(chunk)
-        out = []
-        offset = 0
-        head = _ENVELOPE.size + wire.HEADER.size
-        try:
-            while len(buffer) - offset >= head:
-                (dst,) = _ENVELOPE.unpack_from(buffer, offset)
-                kind, packed, request_id, length = wire._parse_header(
-                    buffer, offset + _ENVELOPE.size
-                )
-                start = offset + head
-                if len(buffer) - start < length:
-                    break
-                payload = wire._parse_payload(
-                    kind, packed, bytes(buffer[start:start + length])
-                )
-                out.append((dst, Frame(kind, request_id, payload)))
-                offset = start + length
-        finally:
-            if offset:
-                del buffer[:offset]
-        return out
-
-
-class PeeringTransport(Transport):
+class PeeringTransport(SocketTransport):
     """Hybrid shard transport: local fast path + one TCP link per peer shard.
 
     Frames between co-sharded members delegate to the worker's inner
     transport (loopback or per-node TCP) with unchanged semantics.  A
     frame for a member of another shard is encoded once (wire v3,
     untouched), prefixed with its 4-byte destination node id, and
-    coalesced into that shard's outbox; one flusher task per
-    destination shard writes whole batches with drain backpressure,
-    mirroring :class:`~repro.runtime.transport.TcpTransport`.  The
+    queued on that shard's link of the shared socket plane
+    (:class:`~repro.runtime.transport.SocketTransport`, the same
+    outbox/flush/backpressure code as the TCP transport).  The
     receiving worker's single peering server demultiplexes by the
     envelope id onto its local handlers.
     """
@@ -183,35 +155,22 @@ class PeeringTransport(Transport):
         interface: str = "127.0.0.1",
         outbox_cap: int = 8192,
     ):
-        super().__init__(encoding=inner.encoding)
+        super().__init__(
+            encoding=inner.encoding, interface=interface, outbox_cap=outbox_cap
+        )
         self.shard_id = shard_id
         #: node id -> owning shard (string joiner addrs are never
         #: sharded: anything unknown is treated as local)
         self.shard_of = shard_of
         self.inner = inner
-        self.interface = interface
-        self.outbox_cap = outbox_cap
-        self.backpressure_drops = 0
-        #: shard id -> (host, port) peering endpoints, set after boot
-        self.peers: dict = {}
         self.port = None
-        self._server = None
         self._local: dict = {}
-        self._writers: dict = {}
-        self._writer_locks: dict = {}
-        self._readers: set = set()
-        self._outbox: dict = {}
         #: peered frames that arrived for an unbound (dead?) member
         self.misrouted = 0
-        self.peer_sent = 0
-        self.peer_delivered = 0
 
     async def start(self) -> None:
         await self.inner.start()
-        self._server = await asyncio.start_server(
-            self._serve, self.interface, 0
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = await self._listen(self.shard_id, self._deliver, _ENVELOPE)
 
     async def bind(self, addr, handler, host: int = None) -> None:
         self._local[addr] = handler
@@ -228,105 +187,36 @@ class PeeringTransport(Transport):
         if shard == self.shard_id:
             return await self.inner.send(src, dst, frame)
         self.sent += 1
-        self.peer_sent += 1
         data = _ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
-        batch = self._outbox.get(shard)
-        if batch is None:
-            self._outbox[shard] = [data]
-            self._spawn(self._flush(shard))
-        elif self.outbox_cap is not None and len(batch) >= self.outbox_cap:
-            self.backpressure_drops += 1
-            self.dropped += 1
-            return False
-        else:
-            batch.append(data)
-        return True
+        return self._enqueue(shard, data, self.outbox_cap)
 
-    async def _writer_for(self, shard) -> asyncio.StreamWriter:
-        lock = self._writer_locks.setdefault(shard, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(shard)
-            if writer is not None:
-                if not writer.is_closing():
-                    return writer
-                self._writers.pop(shard, None)
-                writer.close()
-            endpoint = self.peers.get(shard)
-            if endpoint is None:
-                raise TransportError(f"no peering endpoint for shard {shard}")
-            try:
-                _, writer = await asyncio.open_connection(*endpoint)
-            except OSError as exc:
-                raise TransportError(
-                    f"peering connect to shard {shard} failed: {exc}"
-                ) from exc
-            self._writers[shard] = writer
-            return writer
-
-    async def _flush(self, shard) -> None:
-        while True:
-            batch = self._outbox.get(shard)
-            if not batch:
-                self._outbox.pop(shard, None)
-                return
-            self._outbox[shard] = []
-            try:
-                writer = await self._writer_for(shard)
-                writer.write(b"".join(batch))
-                await writer.drain()
-            except (TransportError, OSError):
-                self.dropped += len(batch)
-
-    async def _serve(self, reader, writer) -> None:
-        decoder = _EnvelopeDecoder()
-        self._readers.add(writer)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for dst, frame in decoder.feed(chunk):
-                    handler = self._local.get(dst)
-                    if handler is None:
-                        # a crashed/unbound member: the frame drops and
-                        # the origin's request times out, exactly like
-                        # a frame to a dead host on the flat transports
-                        self.misrouted += 1
-                        continue
-                    self.peer_delivered += 1
-                    self.delivered += 1
-                    await handler(frame)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        except wire.ProtocolError:
-            self.dropped += 1
-        finally:
-            self._readers.discard(writer)
-            writer.close()
+    def _deliver(self, item):
+        dst, frame = item
+        handler = self._local.get(dst)
+        if handler is None:
+            # a crashed/unbound member: the frame drops and the
+            # origin's request times out, exactly like a frame to a
+            # dead host on the flat transports
+            self.misrouted += 1
+            return None
+        return handler(frame)
 
     def counters(self) -> dict:
         """Peering + inner traffic accounting for aggregation."""
+        inner = self.inner
         return {
-            "peer_sent": self.peer_sent,
-            "peer_delivered": self.peer_delivered,
+            "peer_sent": self.sent,
+            "peer_delivered": self.delivered,
             "peer_misrouted": self.misrouted,
-            "local_sent": self.inner.sent,
-            "local_delivered": self.inner.delivered,
-            "dropped": self.dropped + self.inner.dropped,
-            "backpressure_drops": self.backpressure_drops,
+            "local_sent": inner.sent,
+            "local_delivered": inner.delivered,
+            "dropped": self.dropped + inner.dropped,
+            "backpressure_drops": self.backpressure_drops + inner.backpressure_drops,
+            "handler_errors": self.handler_errors + inner.handler_errors,
         }
 
     async def close(self) -> None:
         await super().close()
-        self._outbox.clear()
-        for writer in list(self._writers.values()) + list(self._readers):
-            writer.close()
-        self._writers.clear()
-        self._readers.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         await self.inner.close()
 
 
@@ -444,7 +334,7 @@ def _worker_counters(cluster: _WorkerCluster) -> dict:
 async def _worker_handle(cluster: _WorkerCluster, msg: tuple):
     op = msg[0]
     if op == "peers":
-        cluster.transport.peers.update(msg[1])
+        cluster.transport.endpoints.update(msg[1])
         return None
     if op == "lookup":
         return await cluster.lookup(msg[1], msg[2])

@@ -27,24 +27,24 @@ through the binary codec, so the wire format is exercised on every
 test) and is deterministic and fast; unshaped frames are delivered
 inline from ``send`` rather than through a spawned task, so the hot
 path costs a codec round-trip and a mailbox put -- no scheduler hop.
-:class:`TcpTransport` runs one ``asyncio.start_server`` per endpoint
-on localhost and speaks the length-prefixed protocol over real
-sockets; endpoints may live in different processes as long as they
-share the address book.  Unshaped TCP sends coalesce: frames queue in
-a per-destination outbox and one flusher task writes the whole batch
-and awaits ``drain()`` once per flush -- explicit backpressure without
-a syscall-and-drain per frame.
+:class:`TcpTransport` runs one server per endpoint on localhost and
+speaks the length-prefixed protocol over real sockets; endpoints may
+live in different processes as long as they share the address book.
+Its socket plane, :class:`SocketTransport` (shared with the sharded
+runtime's peering links), runs on ``asyncio.Protocol``: no task per
+received frame, and one write per destination per loop turn.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
+import types
 
 from repro.runtime.wire import (
     Frame,
     FrameDecoder,
     ProtocolError,
-    decode_frame,
     encode_frame,
     roundtrip_payload,
 )
@@ -83,6 +83,10 @@ class Transport:
         self.sent = 0
         self.dropped = 0
         self.delivered = 0
+        #: frames refused because a destination's outbox was full
+        self.backpressure_drops = 0
+        #: delivered frames whose handler raised
+        self.handler_errors = 0
         self._tasks: set = set()
         self._closed = False
 
@@ -116,7 +120,8 @@ class Transport:
             "sent": self.sent,
             "delivered": self.delivered,
             "dropped": self.dropped,
-            "backpressure_drops": int(getattr(self, "backpressure_drops", 0)),
+            "backpressure_drops": self.backpressure_drops,
+            "handler_errors": self.handler_errors,
         }
 
     # -- shaping and faults ------------------------------------------------
@@ -215,10 +220,157 @@ class LoopbackTransport(Transport):
         await handler(frame)
 
 
-class TcpTransport(Transport):
-    """Real sockets: one localhost ``asyncio`` server per endpoint."""
+if sys.version_info >= (3, 12):
 
-    kind = "tcp"
+    def _start(coro):
+        """Run ``coro`` on an eager task; return the task if it suspended."""
+        loop = asyncio.get_running_loop()
+        task = asyncio.Task(coro, loop=loop, eager_start=True)
+        if not task.done():
+            return task
+        task.result()  # re-raise what the handler raised
+        return None
+
+else:
+
+    def _start(coro):
+        """Step ``coro`` outside any task; finish it on one if it suspends.
+
+        Before 3.12 there are no eager tasks, so that first step runs
+        with no current task: a handler must not need one (as
+        ``asyncio.timeout`` does) before it first suspends.
+        """
+        try:
+            waiting = coro.send(None)
+        except StopIteration:
+            return None
+        return asyncio.ensure_future(_resume(coro, waiting))
+
+    @types.coroutine
+    def _resume(coro, waiting):
+        """Re-yield the first step's ``waiting``, then forward every step."""
+        while True:
+            try:
+                value = yield waiting
+            except BaseException as exc:
+                step, value = coro.throw, exc
+            else:
+                step = coro.send
+            try:
+                waiting = step(value)
+            except StopIteration:
+                return
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: decode each chunk, start handlers in order.
+
+    ``deliver(item)`` turns a decoded item into its handler's coroutine
+    (None: skip it), started eagerly by :func:`_start`.  A handler that
+    suspends does not hold up later frames -- the reply it awaits may
+    ride this very connection -- but ``MAX_SUSPENDED`` unfinished ones
+    pause reading, so slow handlers backpressure their sender.  A
+    raising handler counts ``handler_errors``; the stream goes on.
+    """
+
+    #: unfinished handlers a connection holds before it pauses reading
+    MAX_SUSPENDED = 64
+
+    def __init__(self, plane, decoder, deliver):
+        self.plane = plane
+        self.decoder = decoder
+        self.deliver = deliver
+        self.transport = None
+        self.suspended = 0
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.plane._readers.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self.plane._readers.discard(self.transport)
+
+    def data_received(self, data) -> None:
+        try:
+            items = self.decoder.feed(data)
+        except ProtocolError:
+            # a poisoned byte stream (bad magic, corrupt length, junk
+            # payload) kills only this connection -- the endpoint stays
+            # bound, and the peer's next connection gets a fresh decoder
+            self.plane.dropped += 1
+            self.transport.close()
+            return
+        plane = self.plane
+        for item in items:
+            coro = self.deliver(item)
+            if coro is None:
+                continue
+            plane.delivered += 1
+            try:
+                rest = _start(coro)
+            except Exception as exc:
+                self._failed(exc)
+                continue
+            if rest is not None:
+                plane._tasks.add(rest)
+                rest.add_done_callback(self._finished)
+                self.suspended += 1
+                if self.suspended == self.MAX_SUSPENDED:
+                    self.transport.pause_reading()
+
+    def _finished(self, task) -> None:
+        """A suspended handler is done: count its error, maybe read on."""
+        self.plane._tasks.discard(task)
+        self.suspended -= 1
+        if self.suspended == self.MAX_SUSPENDED - 1:
+            if not self.transport.is_closing():
+                self.transport.resume_reading()
+        if not task.cancelled() and task.exception() is not None:
+            self._failed(task.exception())
+
+    def _failed(self, exc: Exception) -> None:
+        """Count and report (with its traceback) a handler that raised."""
+        self.plane.handler_errors += 1
+        asyncio.get_running_loop().call_exception_handler(
+            {"message": "frame handler raised", "exception": exc, "protocol": self}
+        )
+
+
+class _Outbound(asyncio.Protocol):
+    """Client end of one cached connection: tracks write backpressure."""
+
+    def __init__(self, plane, key):
+        self.plane = plane
+        self.key = key
+        #: the socket buffer is past its high-water mark: hold frames
+        self.paused = False
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.plane._wake()
+
+    def connection_lost(self, exc) -> None:
+        plane = self.plane
+        writer = plane._writers.get(self.key)
+        if writer is not None and writer.get_protocol() is self:
+            del plane._writers[self.key]
+        if self.key in plane._outbox:
+            plane._wake()  # reconnect for the queued frames, or drop them
+
+
+class SocketTransport(Transport):
+    """The TCP plane shared by the socket transports: links, outboxes, flush.
+
+    Subclasses fill the address book ``endpoints`` (destination key ->
+    ``(host, port)``) and listen through :meth:`_listen`.  ``_enqueue``
+    queues encoded bytes; one ``call_soon`` flush per loop turn writes
+    each ready key's batch with one ``transport.write``.  A connecting
+    or paused (``pause_writing``) link holds its queue; past
+    ``outbox_cap`` frames a send is refused (``backpressure_drops``).
+    """
 
     def __init__(
         self,
@@ -233,33 +385,118 @@ class TcpTransport(Transport):
         if outbox_cap is not None and outbox_cap < 1:
             raise ValueError("outbox_cap must be >= 1 (or None for unbounded)")
         self.interface = interface
-        #: per-destination write-queue cap in frames: a peer whose
-        #: flusher cannot keep up stops ballooning sender memory --
-        #: overflow frames drop (send returns False) and count below
+        #: per-destination outbox cap in frames (None: unbounded)
         self.outbox_cap = outbox_cap
-        #: frames dropped because a destination's outbox was full
-        self.backpressure_drops = 0
-        self._servers: dict = {}
-        #: address book: addr -> (interface, port)
+        #: address book: destination key -> (host, port)
         self.endpoints: dict = {}
+        #: local key -> listening server
+        self._servers: dict = {}
+        #: key -> ``asyncio.Transport`` of the cached outbound connection
         self._writers: dict = {}
-        self._writer_locks: dict = {}
+        #: accepted inbound connections
         self._readers: set = set()
-        #: dst -> list of encoded frames awaiting the flusher; the key's
-        #: presence doubles as "a flusher task owns this destination"
+        #: key -> encoded frames awaiting the next flush
         self._outbox: dict = {}
+        #: keys with a connect in flight
+        self._connecting: set = set()
+        self._flush_handle = None
+
+    async def _listen(self, key, deliver, envelope=None) -> int:
+        """Serve ``key``, feeding each frame to ``deliver``; return the port."""
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self, FrameDecoder(envelope), deliver),
+            self.interface,
+            0,
+        )
+        self._servers[key] = server
+        return server.sockets[0].getsockname()[1]
+
+    def _discard_writer(self, key) -> None:
+        """Drop (and actually close) the cached connection to ``key``."""
+        writer = self._writers.pop(key, None)
+        if writer is not None:
+            writer.close()
+
+    def _enqueue(self, key, data: bytes, cap) -> bool:
+        """Queue ``data`` for ``key``'s next flush; refuse past ``cap``."""
+        if self._closed:  # a shaped frame whose timer outlived close()
+            self.dropped += 1
+            return False
+        batch = self._outbox.get(key)
+        if batch is None:
+            self._outbox[key] = [data]
+            self._wake()
+        elif cap is not None and len(batch) >= cap:
+            # the link is behind by a full cap: refuse the frame
+            # instead of queueing unbounded sender-side memory
+            self.backpressure_drops += 1
+            self.dropped += 1
+            return False
+        else:
+            batch.append(data)
+        return True
+
+    def _wake(self) -> None:
+        if self._flush_handle is None and not self._closed:
+            self._flush_handle = asyncio.get_running_loop().call_soon(self._flush)
+
+    def _flush(self) -> None:
+        """One write per ready destination; open links for the rest."""
+        self._flush_handle = None
+        for key in list(self._outbox):
+            writer = self._writers.get(key)
+            if writer is None or writer.is_closing():
+                if key not in self.endpoints:  # unbound: its queue drops
+                    self.dropped += len(self._outbox.pop(key))
+                elif key not in self._connecting:
+                    self._connecting.add(key)
+                    self._spawn(self._connect(key, self.endpoints[key]))
+            elif not writer.get_protocol().paused:
+                writer.write(b"".join(self._outbox.pop(key)))
+
+    async def _connect(self, key, endpoint) -> None:
+        """Open the link to ``key`` once; its frames queue meanwhile."""
+        try:
+            writer, _ = await asyncio.get_running_loop().create_connection(
+                lambda: _Outbound(self, key), *endpoint
+            )
+        except OSError:
+            self.dropped += len(self._outbox.pop(key, ()))
+            return
+        finally:
+            self._connecting.discard(key)
+        if self.endpoints.get(key) != endpoint:
+            # rebound or unbound while connecting: the socket is stale,
+            # so reconnect (or drop the queue) on the next flush
+            writer.close()
+        else:
+            self._writers[key] = writer  # replaces only a closing one
+        self._wake()
+
+    async def close(self) -> None:
+        await super().close()
+        self._outbox.clear()  # a flush still due finds nothing to write
+        servers = list(self._servers.values())
+        for closable in [*self._writers.values(), *self._readers, *servers]:
+            closable.close()
+        self._writers.clear()
+        self._servers.clear()
+        self.endpoints.clear()
+        await asyncio.gather(
+            *(server.wait_closed() for server in servers),
+            return_exceptions=True,
+        )
+
+
+class TcpTransport(SocketTransport):
+    """Real sockets: one localhost ``asyncio`` server per endpoint."""
+
+    kind = "tcp"
 
     async def bind(self, addr, handler, host: int = None) -> None:
         if addr in self._servers:
             raise TransportError(f"address {addr!r} already bound")
-        server = await asyncio.start_server(
-            lambda reader, writer: self._serve(handler, reader, writer),
-            self.interface,
-            0,
-        )
-        port = server.sockets[0].getsockname()[1]
-        self._servers[addr] = server
-        self.endpoints[addr] = (self.interface, port)
+        self.endpoints[addr] = (self.interface, await self._listen(addr, handler))
         if host is not None:
             self.hosts[addr] = int(host)
         # a rebind hands the address a fresh port, so a cached writer
@@ -276,131 +513,22 @@ class TcpTransport(Transport):
             server.close()
             await server.wait_closed()
 
-    def _discard_writer(self, dst) -> None:
-        """Drop (and actually close) the cached connection to ``dst``."""
-        writer = self._writers.pop(dst, None)
-        if writer is not None:
-            writer.close()
-
-    async def _serve(self, handler, reader, writer) -> None:
-        """One accepted connection: reassemble frames, dispatch each."""
-        decoder = FrameDecoder()
-        self._readers.add(writer)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    self.delivered += 1
-                    await handler(frame)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        except ProtocolError:
-            # a poisoned byte stream (bad magic, corrupt length, junk
-            # payload) kills only this connection -- the endpoint stays
-            # bound, and the peer's next connection gets a fresh decoder
-            self.dropped += 1
-        finally:
-            self._readers.discard(writer)
-            writer.close()
-
-    async def _writer_for(self, dst) -> asyncio.StreamWriter:
-        lock = self._writer_locks.setdefault(dst, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(dst)
-            if writer is not None:
-                if not writer.is_closing():
-                    return writer
-                # close the moribund connection for real instead of
-                # letting the overwritten writer leak its socket
-                self._writers.pop(dst, None)
-                writer.close()
-            endpoint = self.endpoints.get(dst)
-            if endpoint is None:
-                raise TransportError(f"no endpoint bound for {dst!r}")
-            try:
-                _, writer = await asyncio.open_connection(*endpoint)
-            except OSError as exc:
-                raise TransportError(f"connect to {dst!r} failed: {exc}") from exc
-            self._writers[dst] = writer
-            return writer
-
     async def send(self, src, dst, frame: Frame) -> bool:
         if self._closed:
             raise TransportError("transport is closed")
         self.sent += 1
-        if self.drops(src, dst):
-            self.dropped += 1
-            return False
-        if dst not in self.endpoints:
+        if self.drops(src, dst) or dst not in self.endpoints:
             self.dropped += 1
             return False
         data = encode_frame(frame, packed=self._packed)
         delay = self.delay_for(src, dst)
         if delay > 0.0:
             # shaped frames keep their individual departure times
-            self._spawn(self._write(dst, data, delay))
+            asyncio.get_running_loop().call_later(
+                delay, self._enqueue, dst, data, None
+            )
             return True
-        batch = self._outbox.get(dst)
-        if batch is None:
-            self._outbox[dst] = [data]
-            self._spawn(self._flush(dst))
-        elif self.outbox_cap is not None and len(batch) >= self.outbox_cap:
-            # the flusher is behind by a full cap: refuse the frame
-            # instead of queueing unbounded sender-side memory
-            self.backpressure_drops += 1
-            self.dropped += 1
-            return False
-        else:
-            batch.append(data)
-        return True
-
-    async def _flush(self, dst) -> None:
-        """Drain ``dst``'s outbox: one write + one drain per batch.
-
-        Frames sent while a previous batch is draining coalesce into
-        the next one, so backpressure from a slow peer throttles the
-        sender at batch granularity instead of per frame.
-        """
-        while True:
-            batch = self._outbox.get(dst)
-            if not batch:
-                self._outbox.pop(dst, None)
-                return
-            self._outbox[dst] = []
-            try:
-                writer = await self._writer_for(dst)
-                writer.write(b"".join(batch))
-                await writer.drain()
-            except (TransportError, OSError):
-                self.dropped += len(batch)
-
-    async def _write(self, dst, data: bytes, delay: float) -> None:
-        if delay > 0.0:
-            await asyncio.sleep(delay)
-        try:
-            writer = await self._writer_for(dst)
-            writer.write(data)
-            await writer.drain()
-        except (TransportError, OSError):
-            self.dropped += 1
-
-    async def close(self) -> None:
-        await super().close()
-        self._outbox.clear()
-        for writer in list(self._writers.values()) + list(self._readers):
-            writer.close()
-        self._writers.clear()
-        self._readers.clear()
-        for server in self._servers.values():
-            server.close()
-        await asyncio.gather(
-            *(server.wait_closed() for server in self._servers.values()),
-            return_exceptions=True,
-        )
-        self._servers.clear()
-        self.endpoints.clear()
+        return self._enqueue(dst, data, self.outbox_cap)
 
 
 def make_transport(kind: str, **kwargs) -> Transport:

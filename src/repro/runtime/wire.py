@@ -529,11 +529,16 @@ class FrameDecoder:
     bytearray, one payload-sized copy per frame) and compacts the
     buffer once per feed, so N coalesced frames cost O(total bytes) --
     not the O(bytes^2) a per-frame full-buffer copy would.
+
+    ``envelope`` (a :class:`struct.Struct` of one field) names a prefix
+    carried before every frame, like the sharded runtime's destination
+    node id; ``feed`` then returns ``(prefix value, frame)`` pairs.
     """
 
-    def __init__(self):
+    def __init__(self, envelope=None):
         self._buffer = bytearray()
         self._poisoned = False
+        self._envelope = envelope
 
     @property
     def pending_bytes(self) -> int:
@@ -547,18 +552,25 @@ class FrameDecoder:
         buffer.extend(chunk)
         frames = []
         offset = 0
-        header_size = HEADER.size
+        envelope = self._envelope
+        skip = 0 if envelope is None else envelope.size
+        header_size = skip + HEADER.size
         try:
             while len(buffer) - offset >= header_size:
-                kind, packed, request_id, length = _parse_header(buffer, offset)
+                kind, packed, request_id, length = _parse_header(
+                    buffer, offset + skip
+                )
                 start = offset + header_size
                 if len(buffer) - start < length:
                     break
                 payload = _parse_payload(
                     kind, packed, bytes(buffer[start:start + length])
                 )
+                frame = Frame(kind, request_id, payload)
+                if envelope is not None:
+                    frame = (envelope.unpack_from(buffer, offset)[0], frame)
                 offset = start + length
-                frames.append(Frame(kind, request_id, payload))
+                frames.append(frame)
         except ProtocolError:
             self._poisoned = True
             raise

@@ -17,6 +17,7 @@ from repro.core.config import NetworkParams, OverlayParams
 from repro.core.recovery import DetectorParams, check_invariants
 from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.recovery import RuntimeRecovery
+from repro.runtime.wire import MsgType
 
 
 def run(coroutine):
@@ -100,6 +101,44 @@ class TestCrashDetection:
                 assert innocent not in recovery.confirmed_dead
 
         run(scenario())
+
+
+class TestRelayOverTcp:
+    def test_relay_probe_answers_while_another_drain_is_suspended(self):
+        """A relay heartbeat drained inline off a socket still probes.
+
+        Witness ``a`` is suspended mid-drain, relaying to an endpoint
+        that never answers, so witness ``b``'s relay heartbeat is
+        drained inline from the TCP receive path; its own probe must
+        still go out and come back (``ok`` True).
+        """
+
+        async def scenario():
+            async with Cluster(make_config(nodes=8, transport="tcp")) as cluster:
+
+                async def silent(frame):
+                    pass
+
+                await cluster.transport.bind("sink", silent)
+                prober, a, b, target = sorted(cluster.actors)[:4]
+                node = cluster.actors[prober]
+                stalled = asyncio.ensure_future(node.request(
+                    a, MsgType.HEARTBEAT,
+                    {"seq": 0, "relay": "sink", "timeout": 1.0},
+                    timeout=5.0, retry=False,
+                ))
+                while not cluster.actors[a]._draining:
+                    await asyncio.sleep(0.001)
+                reply = await node.request(
+                    b, MsgType.HEARTBEAT,
+                    {"seq": 1, "relay": target, "timeout": 2.0},
+                    timeout=5.0, retry=False,
+                )
+                return reply, await stalled
+
+        reply, stalled = run(scenario())
+        assert reply["ok"] is True
+        assert stalled["ok"] is False
 
 
 class TestPartitionShielding:

@@ -15,8 +15,9 @@ from repro.runtime import (
     make_cluster,
     shard_assignment,
 )
-from repro.runtime.shard import _ENVELOPE, _EnvelopeDecoder
-from repro.runtime.wire import Frame, MsgType, encode_frame
+from repro.runtime.shard import _ENVELOPE, PeeringTransport
+from repro.runtime.transport import LoopbackTransport
+from repro.runtime.wire import Frame, FrameDecoder, MsgType, encode_frame
 
 
 def run(coroutine):
@@ -83,13 +84,52 @@ class TestEnvelope:
             _ENVELOPE.pack(100 + i) + encode_frame(f, packed=True)
             for i, f in enumerate(frames)
         )
-        decoder = _EnvelopeDecoder()
+        decoder = FrameDecoder(_ENVELOPE)
         out = []
         for i in range(0, len(blob), 7):  # feed in awkward 7-byte slivers
             out.extend(decoder.feed(blob[i:i + 7]))
         assert [dst for dst, _ in out] == [100 + i for i in range(5)]
         assert [f.payload["seq"] for _, f in out] == list(range(5))
         assert [f.request_id for _, f in out] == list(range(5))
+
+
+class TestPeeringPlane:
+    def test_cross_shard_frames_survive_a_raising_handler(self):
+        """Peering links share the TCP plane: in order, errors counted."""
+
+        async def scenario():
+            shard_of = {1: 0, 2: 1}
+            a = PeeringTransport(0, shard_of, LoopbackTransport())
+            b = PeeringTransport(1, shard_of, LoopbackTransport())
+            await a.start()
+            await b.start()
+            a.endpoints[1] = ("127.0.0.1", b.port)
+            seen = []
+
+            async def handler(frame):
+                if frame.payload["seq"] == 1:
+                    raise RuntimeError("handler bug")
+                seen.append(frame.payload["seq"])
+
+            await b.bind(2, handler)
+            results = [
+                await a.send(1, 2, Frame(MsgType.HEARTBEAT, s + 1, {"seq": s}))
+                for s in range(4)
+            ]
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 10.0
+            while len(seen) < 3 and loop.time() < deadline:
+                await asyncio.sleep(0.001)
+            counters = b.counters()
+            await a.close()
+            await b.close()
+            return results, seen, counters
+
+        results, seen, counters = run(scenario())
+        assert results == [True] * 4
+        assert seen == [0, 2, 3]
+        assert counters["peer_delivered"] == 4
+        assert counters["handler_errors"] == 1
 
 
 class TestParity:

@@ -1,6 +1,7 @@
 """Transport contract: delivery, shaping, faults -- loopback and TCP."""
 
 import asyncio
+import gc
 
 import pytest
 
@@ -291,14 +292,46 @@ class TestTcpSpecifics:
         assert closing, "displaced writer must be closed"
         assert not stale, "unbind must drop the cached writer"
 
+    def test_unbind_while_connecting_drops_the_queue(self):
+        """Frames queued behind a connect to a vanished endpoint drop, counted."""
+
+        async def scenario():
+            transport = TcpTransport()
+            await transport.start()
+            await transport.bind("rx", Collector())
+            for seq in range(5):
+                assert await transport.send(
+                    "tx", "rx", Frame(MsgType.HEARTBEAT, seq + 1, {"seq": seq})
+                )
+            await asyncio.sleep(0)  # the flush starts the connect
+            await transport.unbind("rx")
+            await until(
+                lambda: not transport._connecting and "rx" not in transport._outbox
+            )
+            dropped, stale = transport.dropped, "rx" in transport._writers
+            inbox = Collector()
+            await transport.bind("rx", inbox)
+            assert await transport.send(
+                "tx", "rx", Frame(MsgType.HEARTBEAT, 6, {"seq": 5})
+            )
+            await inbox.wait(1)
+            await transport.close()
+            return dropped, stale, [f.payload["seq"] for f in inbox.frames]
+
+        dropped, stale, seqs = run(scenario())
+        assert dropped == 5
+        assert not stale
+        assert seqs == [5]
+
 
 class TestOutboxBackpressure:
     def test_outbox_cap_refuses_overflow_frames(self):
         """A full per-peer write queue drops (and counts) new frames.
 
-        The flusher task spawned by the first send has not run yet, so
-        every later send in the same event-loop turn lands in the same
-        batch -- deterministic overflow without a slow peer.
+        The flush scheduled by the first send has not run yet (and the
+        link is not even connected), so every later send in the same
+        event-loop turn lands in the same batch -- deterministic
+        overflow without a slow peer.
         """
 
         async def scenario():
@@ -318,7 +351,7 @@ class TestOutboxBackpressure:
             return results, transport.backpressure_drops, len(inbox.frames)
 
         results, backpressure, delivered = run(scenario())
-        # send 0 seeds the batch and spawns the flusher; 1-3 fill the
+        # send 0 seeds the batch and schedules the flush; 1-3 fill the
         # cap; 4 and 5 are refused
         assert results == [True, True, True, True, False, False]
         assert backpressure == 2
@@ -346,3 +379,224 @@ class TestOutboxBackpressure:
     def test_outbox_cap_validation(self):
         with pytest.raises(ValueError, match="outbox_cap"):
             TcpTransport(outbox_cap=0)
+
+
+async def until(predicate, timeout=10.0):
+    """Poll ``predicate`` on the running loop until it holds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        if loop.time() > deadline:
+            raise AssertionError("condition not reached before the timeout")
+        await asyncio.sleep(0.001)
+
+
+def beat(seq, **extra):
+    return Frame(MsgType.HEARTBEAT, seq + 1, {"seq": seq, **extra})
+
+
+class TestHandlerErrors:
+    def test_raising_handler_keeps_the_connection(self):
+        """A handler exception is counted; later frames still arrive.
+
+        Frame 1 raises before suspending and frame 3 after, both sent in
+        one burst with their neighbours; a second burst in a later loop
+        turn rides the same connection.
+        """
+
+        async def scenario():
+            transport = TcpTransport()
+            await transport.start()
+            seen = []
+
+            async def handler(frame):
+                seq = frame.payload["seq"]
+                if seq == 1:
+                    raise RuntimeError("handler bug")
+                if seq == 3:
+                    await asyncio.sleep(0)
+                    raise RuntimeError("handler bug after a suspension")
+                seen.append(seq)
+
+            await transport.bind("rx", handler)
+            results = [await transport.send("tx", "rx", beat(s)) for s in range(6)]
+            await until(lambda: len(seen) == 4)
+            results += [await transport.send("tx", "rx", beat(s)) for s in (6, 7)]
+            await until(lambda: len(seen) == 6)
+            await transport.close()
+            return results, seen, transport.counters()
+
+        results, seen, counters = run(scenario())
+        assert results == [True] * 8
+        assert seen == [0, 2, 4, 5, 6, 7]
+        assert counters["handler_errors"] == 2
+        assert counters["delivered"] == 8
+        assert counters["dropped"] == 0
+
+
+class TestFlowControl:
+    def test_blocked_receiver_backpressures_the_sender(self):
+        """Stalled handlers pause reading until the sender pauses writing.
+
+        Past that point the outbox fills to ``outbox_cap`` and further
+        sends are refused and counted; once the handler resumes, every
+        accepted frame arrives, in order.
+        """
+        cap = 8
+
+        async def scenario():
+            transport = TcpTransport(outbox_cap=cap)
+            await transport.start()
+            gate = asyncio.Event()
+            seen = []
+
+            async def handler(frame):
+                seen.append(frame.payload["seq"])
+                await gate.wait()
+
+            await transport.bind("rx", handler)
+            blob = "x" * 32768
+            accepted = []
+            writer = None
+            while writer is None or not writer.get_protocol().paused:
+                seq = len(accepted)
+                assert seq < 4096, "the sender never saw pause_writing"
+                assert await transport.send("tx", "rx", beat(seq, blob=blob))
+                accepted.append(seq)
+                await asyncio.sleep(0)
+                writer = transport._writers.get("rx")
+            reading = [reader.is_reading() for reader in transport._readers]
+            results = []
+            for _ in range(cap + 3):
+                seq = len(accepted)
+                results.append(await transport.send("tx", "rx", beat(seq, blob=blob)))
+                if results[-1]:
+                    accepted.append(seq)
+            gate.set()
+            await until(lambda: len(seen) == len(accepted))
+            await transport.close()
+            return reading, results, transport.backpressure_drops, seen, accepted
+
+        reading, results, backpressure, seen, accepted = run(scenario())
+        assert reading == [False], "the stalled receiver must pause reading"
+        assert results == [True] * cap + [False] * 3
+        assert backpressure == 3
+        assert seen == accepted
+
+    def test_suspended_handler_does_not_block_later_frames(self):
+        """Handlers start in stream order; a suspended one holds no one up.
+
+        Frame 0's handler waits for frame 29's, which rides the same
+        connection -- as a relay's awaited reply does.
+        """
+
+        async def scenario():
+            transport = TcpTransport()
+            await transport.start()
+            last = asyncio.Event()
+            started, finished = [], []
+
+            async def handler(frame):
+                seq = frame.payload["seq"]
+                started.append(seq)
+                if seq == 0:
+                    await last.wait()
+                elif seq % 3 == 0:
+                    await asyncio.sleep(0.001)
+                if seq == 29:
+                    last.set()
+                finished.append(seq)
+
+            await transport.bind("rx", handler)
+            for seq in range(30):
+                assert await transport.send("tx", "rx", beat(seq))
+            await until(lambda: len(finished) == 30)
+            await transport.close()
+            return started, finished
+
+        started, finished = run(scenario())
+        assert started == list(range(30))
+        assert sorted(finished) == list(range(30))
+        assert finished.index(0) > finished.index(29)
+
+    def test_handler_may_use_wait_for_before_suspending(self):
+        """``asyncio.wait_for`` in a handler's first step works.
+
+        On 3.12+ ``wait_for`` runs on ``asyncio.timeout``, which needs a
+        current task, so the eager first step must run on one.  The
+        answer arrives on another connection, as a relayed probe's does.
+        """
+
+        async def scenario():
+            transport = TcpTransport()
+            await transport.start()
+            answer = asyncio.get_running_loop().create_future()
+            got = []
+
+            async def relay(frame):
+                got.append(await asyncio.wait_for(answer, 5.0))
+
+            async def target(frame):
+                answer.set_result(frame.payload["seq"])
+
+            await transport.bind("relay", relay)
+            await transport.bind("target", target)
+            assert await transport.send("tx", "relay", beat(0))
+            await until(lambda: transport.delivered == 1)
+            assert await transport.send("tx", "target", beat(7))
+            await until(lambda: got or transport.handler_errors)
+            await transport.close()
+            return got, transport.handler_errors
+
+        got, errors = run(scenario())
+        assert (got, errors) == ([7], 0)
+
+    def test_one_write_per_destination_per_loop_turn(self):
+        """A burst costs one socket write and no task once the link is up."""
+
+        async def scenario():
+            transport = TcpTransport()
+            await transport.start()
+            inbox = Collector()
+            await transport.bind("rx", inbox)
+            assert await transport.send("tx", "rx", beat(0))
+            await inbox.wait(1)
+            writer = transport._writers["rx"]
+            writes, spawns = [], []
+            write, spawn = writer.write, transport._spawn
+            writer.write = lambda data: (writes.append(data), write(data))
+            transport._spawn = lambda coro: (spawns.append(coro), spawn(coro))
+            for seq in range(1, 51):
+                assert await transport.send("tx", "rx", beat(seq))
+            await inbox.wait(51)
+            await transport.close()
+            return len(writes), len(spawns), [f.payload["seq"] for f in inbox.frames]
+
+        writes, spawns, seqs = run(scenario())
+        assert writes == 1
+        assert spawns == 0
+        assert seqs == list(range(51))
+
+    def test_close_with_queued_frames_and_connect_in_flight(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            transport = TcpTransport()
+            await transport.start()
+            await transport.bind("rx", Collector())
+            for seq in range(5):
+                assert await transport.send("tx", "rx", beat(seq))
+            await asyncio.sleep(0)  # the flush runs and starts the connect
+            connecting = set(transport._connecting)
+            await transport.close()
+            await asyncio.sleep(0)
+            gc.collect()
+            current = asyncio.current_task()
+            pending = [t for t in asyncio.all_tasks() if t is not current]
+            return connecting, pending, errors
+
+        connecting, pending, errors = run(scenario())
+        assert connecting == {"rx"}
+        assert pending == []
+        assert errors == []
